@@ -15,6 +15,13 @@ its head request conflicts with
 semantically commuting holders never contribute a spurious cycle.
 Edges are refreshed whenever an entry's holder set or waiter set
 changes, so ownership handoffs never leave stale edges.
+
+Only an added edge can close a cycle: removing edges never creates
+one.  So the detector keeps one flag, raised when a refresh gives some
+waiter a blocker it did not have on that entry before, and searches
+only while it is up.  A search that finds nothing proves the graph
+acyclic and lowers the flag; until the next added edge every
+``find_cycle`` returns ``None`` without building the adjacency.
 """
 
 from __future__ import annotations
@@ -30,22 +37,9 @@ class DeadlockDetector:
     def __init__(self) -> None:
         # entry -> {waiting family root -> blocking family roots}
         self._entry_waits: Dict[ObjectId, Dict[int, FrozenSet[int]]] = {}
-        # Lazily materialized adjacency, shared by every find_cycle
-        # call until the next entry refresh.  The deadlock check runs
-        # once per *blocked family* per edge change; without the cache
-        # each of those checks rebuilt the full adjacency from every
-        # entry's contribution — the single hottest cost in the whole
-        # engine under contended workloads.
-        self._adjacency: Optional[Dict[int, Set[int]]] = None
-        # Per-adjacency-generation memos: families proven cycle-free
-        # (a completed DFS that found nothing certifies every node it
-        # visited — no cycle is reachable from any of them until an
-        # edge changes), and sorted neighbor lists (DFS visits
-        # neighbors in sorted order for determinism; sorting once per
-        # node per generation keeps that order without re-sorting on
-        # every visit).
-        self._cycle_free: Set[int] = set()
-        self._sorted_targets: Dict[int, List[int]] = {}
+        # Raised by a refresh that adds an edge; lowered only by a
+        # search that finds no cycle.
+        self._edges_added = False
 
     def update_entry(self, object_id: ObjectId,
                      edges: Mapping[int, FrozenSet[int]]) -> None:
@@ -53,22 +47,23 @@ class DeadlockDetector:
 
         ``edges`` maps each waiting family root to the roots actually
         blocking it on this entry (conflict-keyed, self-edges pruned
-        here).  Waiters with no blockers contribute nothing."""
-        pruned = {
-            waiter: frozenset(blocking) - {waiter}
-            for waiter, blocking in edges.items()
-            if frozenset(blocking) - {waiter}
-        }
-        if not pruned:
-            if self._entry_waits.pop(object_id, None) is not None:
-                self._adjacency = None
-            return
-        self._entry_waits[object_id] = pruned
-        self._adjacency = None
-
-    def clear_entry(self, object_id: ObjectId) -> None:
-        if self._entry_waits.pop(object_id, None) is not None:
-            self._adjacency = None
+        here).  Waiters with no blockers contribute nothing, so an
+        empty mapping clears the entry."""
+        pruned: Dict[int, FrozenSet[int]] = {}
+        for waiter, blocking in edges.items():
+            blocking = frozenset(blocking) - {waiter}
+            if blocking:
+                pruned[waiter] = blocking
+        previous = self._entry_waits.get(object_id, {})
+        if not self._edges_added:
+            self._edges_added = any(
+                not blocking <= previous.get(waiter, frozenset())
+                for waiter, blocking in pruned.items()
+            )
+        if pruned:
+            self._entry_waits[object_id] = pruned
+        else:
+            self._entry_waits.pop(object_id, None)
 
     def drop_family(self, root: int) -> None:
         """Remove one family from every edge (crash-aborted families).
@@ -91,56 +86,38 @@ class DeadlockDetector:
             })
 
     def edges(self) -> Dict[int, Set[int]]:
-        """Materialized adjacency: family -> families it waits for.
-
-        Cached between entry refreshes; callers must treat the result
-        as read-only (mutating it would corrupt the cache).
-        """
-        adjacency = self._adjacency
-        if adjacency is None:
-            adjacency = {}
-            for entry_edges in self._entry_waits.values():
-                for waiter, blocking in entry_edges.items():
-                    targets = adjacency.get(waiter)
-                    if targets is None:
-                        targets = adjacency[waiter] = set()
-                    targets.update(blocking)
-            self._adjacency = adjacency
-            self._cycle_free.clear()
-            self._sorted_targets.clear()
+        """Adjacency: family -> families it waits for."""
+        adjacency: Dict[int, Set[int]] = {}
+        for entry_edges in self._entry_waits.values():
+            for waiter, blocking in entry_edges.items():
+                adjacency.setdefault(waiter, set()).update(blocking)
         return adjacency
 
-    def find_cycle(self, start: int) -> Optional[List[int]]:
-        """Return a cycle reachable from ``start``, or None.
+    def find_cycle(self) -> Optional[List[int]]:
+        """Return the first waits-for cycle, or None.
 
-        DFS in sorted-neighbor order (deterministic).  Nodes certified
-        cycle-free by an earlier completed search on the same adjacency
-        generation are pruned: no cycle is reachable from them, and no
-        cycle through the *current* path can route via them either (it
-        would be a cycle reachable from them — contradiction), so
-        pruning cannot change which cycle is found.
+        One DFS forest: starts are the waiting families in sorted
+        order, neighbours are visited in sorted order, and the
+        ``visited`` set is shared across starts.  A node finished
+        without a cycle reaches none, so no later path can close a
+        cycle through it: skipping it cannot change which back edge is
+        found first, and the cycle is the one a fresh search from each
+        start in turn would return.
         """
-        adjacency = self.edges()
-        if start not in adjacency or start in self._cycle_free:
+        if not self._edges_added:
             return None
-        sorted_targets = self._sorted_targets
+        adjacency = self.edges()
+        visited: Set[int] = set()
         path: List[int] = []
         on_path: Set[int] = set()
-        visited: Set[int] = set(self._cycle_free)
 
         def dfs(node: int) -> Optional[List[int]]:
             visited.add(node)
             path.append(node)
             on_path.add(node)
-            targets = sorted_targets.get(node)
-            if targets is None:
-                targets = sorted_targets[node] = sorted(
-                    adjacency.get(node, ())
-                )
-            for target in targets:
+            for target in sorted(adjacency.get(node, ())):
                 if target in on_path:
-                    cycle_start = path.index(target)
-                    return path[cycle_start:]
+                    return path[path.index(target):]
                 if target not in visited:
                     found = dfs(target)
                     if found is not None:
@@ -149,19 +126,14 @@ class DeadlockDetector:
             on_path.discard(node)
             return None
 
-        found = dfs(start)
-        if found is None:
-            # Every node this completed search visited is cycle-free
-            # until the next edge refresh invalidates the generation.
-            self._cycle_free.update(visited)
-        return found
+        for start in sorted(adjacency):
+            if start not in visited:
+                found = dfs(start)
+                if found is not None:
+                    return found
+        self._edges_added = False
+        return None
 
     def pick_victim(self, cycle: List[int]) -> int:
         """Youngest family = highest root serial = least work lost."""
         return max(cycle)
-
-    def waiting_families(self) -> FrozenSet[int]:
-        waiting: Set[int] = set()
-        for entry_edges in self._entry_waits.values():
-            waiting.update(entry_edges)
-        return frozenset(waiting)

@@ -85,9 +85,9 @@ def sanitize(value):
 class NullTracer:
     """The disabled tracer: every hook is an explicit no-op.
 
-    Kept free of ``__getattr__`` magic for the hot hooks so the
-    disabled path stays a plain bound-method call; a fallback still
-    swallows any hook added later without breaking old call sites.
+    Every hook is declared here, so the disabled path is a plain
+    bound-method call and a misspelled hook name raises
+    :class:`AttributeError` on both tracers.
     """
 
     enabled = False
@@ -226,13 +226,6 @@ class NullTracer:
 
     def node_rejoin(self, node_index, replayed, reclaimed, discarded):
         pass
-
-    def __getattr__(self, _name):  # future hooks: still a no-op
-        return _noop
-
-
-def _noop(*_args, **_kwargs):
-    return None
 
 
 def _lineage(txn):

@@ -515,24 +515,21 @@ class LockManager:
         raise LockTimeoutError(waiter.txn_id, entry.object_id, waited)
 
     def _detect_deadlocks(self) -> None:
-        """Search for cycles from every blocked family; abort victims.
+        """Abort a victim per waits-for cycle until none remains.
 
         Cycles can appear not only when a family enqueues but also when
         a *grant* changes an entry's blocker set (reader preference can
         admit family B onto a lock family A already waits for), so this
-        runs after every edge refresh.  Victim removal changes the
-        graph; loop until no cycle remains.
+        runs after every edge refresh; the detector answers at once
+        unless a refresh added an edge since its last empty search.
+        Every family with an out-edge is in ``_blocked``, so the
+        detector's sweep over waiting families is a sweep over the
+        blocked ones.
         """
-        progress = True
-        while progress:
-            progress = False
-            for start_root in sorted(self._blocked):
-                cycle = self.directory.deadlock.find_cycle(start_root)
-                if cycle is None:
-                    continue
-                self._abort_victim(cycle)
-                progress = True
-                break
+        cycle = self.directory.deadlock.find_cycle()
+        while cycle:
+            self._abort_victim(cycle)
+            cycle = self.directory.deadlock.find_cycle()
 
     def _abort_victim(self, cycle) -> None:
         victim_root = self.directory.deadlock.pick_victim(cycle)

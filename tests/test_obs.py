@@ -234,10 +234,19 @@ class TestNullTracer:
         tracer.end(None)
         tracer.instant("x", "sim")
         tracer.message(None, 0.0)
-        tracer.some_future_hook(1, 2, 3)  # __getattr__ fallback
+        with pytest.raises(AttributeError):
+            tracer.some_future_hook(1, 2, 3)  # misspelled hooks fail loudly
         assert tracer.events == ()
         assert tracer.metrics is None
         assert not tracer.enabled
+
+    def test_every_tracer_hook_is_declared_on_null_tracer(self):
+        # Call sites run against either tracer; a hook only the
+        # recording tracer has would crash every untraced run.
+        hooks = {name for name, value in vars(Tracer).items()
+                 if callable(value) and not name.startswith("_")}
+        assert hooks
+        assert sorted(hooks - set(vars(NullTracer))) == []
 
     def test_cluster_defaults_to_null_tracer(self):
         cluster = Cluster(ClusterConfig(num_nodes=2))
