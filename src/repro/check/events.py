@@ -131,12 +131,29 @@ def parse_object(text: str) -> int:
     return int(text[1:])
 
 
+class EventDicts(list):
+    """A trace stream :func:`event_dicts` has already normalized.
+
+    Handing one back to :func:`event_dicts` costs nothing, so a caller
+    that normalizes once (:func:`repro.check.explorer.run_task`) can
+    pass the same list to every checker, and the checkers' own
+    normalization of it is free.
+    """
+
+
 def event_dicts(events: Iterable) -> List[Dict]:
-    """Normalize a trace stream to plain dicts (JSONL-shaped)."""
-    out = []
-    for event in events:
-        out.append(event.to_dict() if hasattr(event, "to_dict") else event)
-    return out
+    """Normalize a trace stream to plain dicts (JSONL-shaped).
+
+    The dicts share their ``args`` with the recorded events (see
+    :meth:`~repro.obs.tracer.TraceEvent.to_dict`): read them, never
+    write them.
+    """
+    if isinstance(events, EventDicts):
+        return events
+    return EventDicts([
+        event.to_dict() if hasattr(event, "to_dict") else event
+        for event in events
+    ])
 
 
 @dataclass(frozen=True)

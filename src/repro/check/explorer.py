@@ -155,6 +155,8 @@ def run_task(task: FuzzTask, keep_trace: bool = False) -> FuzzReport:
         report.trace = event_dicts(cluster.trace_events)
         report.violations.extend(run_invariants(report.trace))
         return report
+    # Normalized once: every checker below is handed this list, and
+    # event_dicts returns an already-normalized list unchanged.
     events = event_dicts(cluster.trace_events)
     if keep_trace:
         report.trace = events

@@ -169,6 +169,8 @@ class Histogram:
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
+    if len(labels) <= 1:
+        return tuple(labels.items())  # nothing to order
     return tuple(sorted(labels.items()))
 
 

@@ -29,10 +29,11 @@ thread-local context.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.util.ids import NodeId, ObjectId, PageId, TxnId
 
 #: Event categories, used as the Chrome ``cat`` field and for filtering.
 CAT_TXN = "txn"
@@ -59,7 +60,24 @@ class TraceEvent:
     args: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The event as a JSONL-shaped dict.
+
+        ``args`` is the recorded event's own dict, not a copy: it holds
+        JSON primitives only (see :func:`sanitize`), so a deep copy
+        would buy nothing but time.  Consumers must treat the result as
+        read-only — every checker in :mod:`repro.check` does.
+        """
+        return {
+            "ts": self.ts, "name": self.name, "category": self.category,
+            "phase": self.phase, "dur": self.dur, "node": self.node,
+            "track": self.track, "args": self.args,
+        }
+
+
+#: Types :func:`sanitize` returns unchanged when matched exactly.
+_ATOMS = frozenset((type(None), bool, int, float, str))
+#: Typed ids, which :func:`sanitize` reduces to their ``repr``.
+_IDS = frozenset((NodeId, ObjectId, PageId, TxnId))
 
 
 def sanitize(value):
@@ -67,9 +85,20 @@ def sanitize(value):
 
     Typed ids (``NodeId``/``ObjectId``/``TxnId``) use their compact
     ``repr`` (``N0``, ``O3``, ``T7/r2``); enums use their value; sets
-    become sorted lists so output is deterministic.
+    become sorted lists so output is deterministic.  Exact atoms, ids,
+    dicts and lists — nearly everything a trace hook passes — are
+    dispatched on their type before the ``isinstance`` chain.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {str(key): sanitize(val) for key, val in value.items()}
+    if kind in _IDS:
+        return repr(value)
+    if kind is list:
+        return [sanitize(item) for item in value]
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, enum.Enum):
         return sanitize(value.value)

@@ -72,11 +72,14 @@ def replay_serially(cluster: Cluster,
         # semantic_locks=False: the replay is the *plain* serial
         # semantics every semantic grant must be equivalent to — the
         # oracle must not inherit the relaxation it is judging.
+        # trace=False: the oracle reads only the replay's state digest
+        # and commit log, so a trace of it would be recorded unread —
+        # and tracing never changes what a run computes.
         config = replace(
             cluster.config, num_nodes=1, scheduler="round_robin",
             audit_accesses=False, faults=None, tiebreak="fifo",
             transport="sim", transport_processes=False,
-            semantic_locks=False,
+            semantic_locks=False, trace=False,
         )
     serial = Cluster(config)
     for record in cluster.creation_log:

@@ -2,6 +2,9 @@
 registry, virtual-clock tracer, exporters, and the wiring that keeps
 the tracer's aggregates exactly equal to :class:`NetworkStats`."""
 
+import dataclasses
+import enum
+import hashlib
 import json
 
 import pytest
@@ -21,8 +24,12 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+import repro.check.explorer as explorer
+from repro.check.explorer import FuzzTask, run_task
+from repro.gdo.entry import LockMode
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.util.ids import NodeId, ObjectId, TxnId
+from repro.util.ids import NodeId, ObjectId, PageId, TxnId
+from repro.workload.runner import run_workload
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +181,118 @@ class TestSanitize:
     def test_nested_containers(self):
         value = {"k": (NodeId(0), [ObjectId(1)])}
         assert sanitize(value) == {"k": ["N0", ["O1"]]}
+
+
+def _chain_sanitize(value):
+    """The ``isinstance``-chain ``sanitize`` the type-dispatch fast path
+    must reproduce exactly."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, enum.Enum):
+        return _chain_sanitize(value.value)
+    if isinstance(value, dict):
+        return {str(key): _chain_sanitize(val) for key, val in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(_chain_sanitize(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [_chain_sanitize(item) for item in value]
+    return repr(value)
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _same(left, right):
+    """Equal values of identical types, all the way down."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return (list(left) == list(right)
+                and all(_same(left[key], right[key]) for key in left))
+    if isinstance(left, list):
+        return (len(left) == len(right)
+                and all(_same(a, b) for a, b in zip(left, right)))
+    return left == right
+
+
+class TestSanitizeMatchesChain:
+    @pytest.mark.parametrize("value", [
+        None, True, 0, -3, 2.5, "", "x",
+        NodeId(2), ObjectId(3), TxnId(serial=7, root=2), TxnId(4, 4),
+        PageId(ObjectId(3), 1), LockMode.WRITE, _Level.LOW,
+        {3, 1, 2}, frozenset({"b", "a"}), (NodeId(0), [ObjectId(1)]),
+        {"k": {"inner": (1, {ObjectId(4)}), 5: [LockMode.READ]}},
+        {ObjectId(1): "keyed by id", NodeId(0): None},
+        _Label("sub"), _Count(7), [_Label("a"), {_Label("k"): _Count(1)}],
+        object,
+    ])
+    def test_output_identical(self, value):
+        fast = sanitize(value)
+        chain = _chain_sanitize(value)
+        assert _same(fast, chain)
+        assert json.dumps(fast) == json.dumps(chain)
+
+    def test_containers_are_copied(self):
+        inner = [1, 2]
+        value = {"k": inner}
+        out = sanitize(value)
+        assert out == value
+        assert out is not value and out["k"] is not inner
+
+
+def _jsonl_sha256(events):
+    return hashlib.sha256(events_to_jsonl(events).encode()).hexdigest()
+
+
+def _judge(task, monkeypatch):
+    """Run ``task`` through :func:`run_task`; returns the report, the
+    judged cluster and its trace digest from before the checkers ran."""
+    seen = {}
+
+    def run_then_digest(cluster, workload):
+        run = run_workload(cluster, workload)
+        seen["cluster"] = cluster
+        seen["before"] = _jsonl_sha256(cluster.trace_events)
+        return run
+
+    monkeypatch.setattr(explorer, "run_workload", run_then_digest)
+    report = run_task(task, keep_trace=True)
+    return report, seen["cluster"], seen["before"]
+
+
+#: One fault-free, one crash/recovery and one lossy-network task.
+FUZZ_TASKS = [
+    FuzzTask(seed=1, scale=0.125),
+    FuzzTask(seed=2, preset="crash-recover", scale=0.125),
+    FuzzTask(seed=3, protocol="cotec", preset="lossy-net", scale=0.125),
+]
+FUZZ_IDS = ["fault-free", "crash-recover", "lossy-net"]
+
+
+class TestFuzzTraceDicts:
+    @pytest.mark.parametrize("task", FUZZ_TASKS, ids=FUZZ_IDS)
+    def test_to_dict_equals_asdict(self, task, monkeypatch):
+        _, cluster, _ = _judge(task, monkeypatch)
+        assert cluster.trace_events
+        for event in cluster.trace_events:
+            assert event.to_dict() == dataclasses.asdict(event)
+
+    @pytest.mark.parametrize("task", FUZZ_TASKS, ids=FUZZ_IDS)
+    def test_checkers_leave_trace_untouched(self, task, monkeypatch):
+        # to_dict shares args with the recorded event, so a checker
+        # writing into an event dict would rewrite the trace itself.
+        report, cluster, before = _judge(task, monkeypatch)
+        assert report.ok, report.failure_summary()
+        assert _jsonl_sha256(cluster.trace_events) == before
 
 
 class TestTracerCore:

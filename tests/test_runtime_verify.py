@@ -13,9 +13,8 @@ from repro.runtime.executor import freeze_args, thaw_args, _HandleRef
 from conftest import Counter, Orchestrator, make_cluster
 
 
-@pytest.fixture
-def busy_cluster():
-    cluster = make_cluster(protocol="lotec", seed=13)
+def run_busy(trace=False):
+    cluster = make_cluster(protocol="lotec", seed=13, trace=trace)
     counters = [cluster.create(Counter) for _ in range(4)]
     boss = cluster.create(Orchestrator)
     for index in range(10):
@@ -23,6 +22,11 @@ def busy_cluster():
     cluster.submit(boss, "fanout", counters[:2], 5)
     cluster.run()
     return cluster
+
+
+@pytest.fixture
+def busy_cluster():
+    return run_busy()
 
 
 class TestFreezeThaw:
@@ -55,6 +59,33 @@ class TestReplay:
         report = check_serializability(busy_cluster)
         assert report.equivalent
         assert report.committed_roots == len(busy_cluster.commit_log)
+
+
+class TestReplayIsUntraced:
+    def test_replay_of_traced_cluster_records_nothing(self):
+        traced = run_busy(trace=True)
+        assert traced.config.trace and traced.trace_events
+        serial = replay_serially(traced)
+        assert serial.config.trace is False
+        assert not serial.trace_events
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_verdict_independent_of_tracing(self, corrupt):
+        from dataclasses import replace
+
+        reports = []
+        for trace in (True, False):
+            cluster = run_busy(trace=trace)
+            if corrupt:
+                cluster.commit_log[-1] = replace(
+                    cluster.commit_log[-1], result=-12345
+                )
+            reports.append(check_serializability(cluster))
+        traced, untraced = reports
+        assert traced.equivalent == untraced.equivalent == (not corrupt)
+        assert traced.state_mismatches == untraced.state_mismatches
+        assert traced.result_mismatches == untraced.result_mismatches
+        assert traced.committed_roots == untraced.committed_roots > 0
 
 
 class TestOracleDetectsCorruption:
